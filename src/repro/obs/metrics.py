@@ -199,6 +199,9 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
         out[_metric_key("dht.lookups", labels)] = dht.lookups_completed
         out[_metric_key("dht.lookup_hops_mean", labels)] = dht.mean_lookup_hops
         out[_metric_key("dht.messages_routed", labels)] = dht.messages_routed
+        out[_metric_key("dht.lookup_cache_hits", labels)] = dht.lookup_cache_hits
+        out[_metric_key("dht.lookup_cache_evictions", labels)] = dht.lookup_cache_evictions
+        out[_metric_key("dht.owner_forwards", labels)] = dht.owner_forwards
         if dht.batch_puts:
             out[_metric_key("exchange.batch_occupancy_mean", labels)] = (
                 dht.batched_objects / dht.batch_puts

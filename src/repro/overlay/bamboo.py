@@ -52,7 +52,10 @@ class BambooRouter(Router):
             if member.identifier != self.identifier
             and member.identifier not in self._suspected_dead
         ]
-        self._contacts = {member.identifier: member for member in usable}
+        contacts = {member.identifier: member for member in usable}
+        if contacts.keys() != self._contacts.keys():
+            self.view_version += 1
+        self._contacts = contacts
         self.leaf_set = sorted(
             usable, key=lambda m: _circular_distance(self.identifier, m.identifier)
         )[: self.leaf_set_size]

@@ -72,6 +72,11 @@ class Router:
         self.contact = contact
         self.identifier = contact.identifier
         self._suspected_dead: Set[int] = set()
+        # Bumped whenever this node's membership view changes (a contact
+        # appears or disappears, a suspicion is raised or cleared), so
+        # state derived from the view — the wrapper's owner cache — can
+        # tell it went stale with one integer comparison.
+        self.view_version = 0
 
     # -- membership / maintenance ----------------------------------------- #
     def refresh(self, members: Sequence[NodeContact]) -> None:
@@ -80,10 +85,14 @@ class Router:
 
     def mark_dead(self, identifier: int) -> None:
         """Locally note that a neighbor did not acknowledge a message."""
-        self._suspected_dead.add(identifier)
+        if identifier not in self._suspected_dead:
+            self._suspected_dead.add(identifier)
+            self.view_version += 1
 
     def mark_alive(self, identifier: int) -> None:
-        self._suspected_dead.discard(identifier)
+        if identifier in self._suspected_dead:
+            self._suspected_dead.discard(identifier)
+            self.view_version += 1
 
     def is_suspected_dead(self, identifier: int) -> bool:
         return identifier in self._suspected_dead
@@ -128,6 +137,15 @@ class Router:
         """
         return self.next_hop(target, exclude), False
 
+    def owned_range(self) -> Optional[Tuple[int, int]]:
+        """The identifier range ``(start, end]`` this node believes it owns.
+
+        Lookup responses carry it so the requester can cache the owner's
+        location for the whole range.  ``None`` (the default) means the
+        router has no contiguous range to offer and stays uncached.
+        """
+        return None
+
     def neighbors(self) -> List[NodeContact]:
         """All contacts currently in the neighbor table."""
         raise NotImplementedError
@@ -163,6 +181,8 @@ class ChordRouter(Router):
         ]
         identifiers = sorted(member.identifier for member in usable)
         by_id = {member.identifier: member for member in usable}
+        if by_id.keys() != self._contacts.keys():
+            self.view_version += 1
         self._contacts = by_id
         if len(identifiers) <= 1:
             self.successors = []
@@ -224,6 +244,11 @@ class ChordRouter(Router):
         return IdentifierSpace.in_interval(
             target, self.predecessor.identifier, self.identifier, inclusive_end=True
         )
+
+    def owned_range(self) -> Optional[Tuple[int, int]]:
+        if self.predecessor is None:
+            return None
+        return self.predecessor.identifier, self.identifier
 
     def _closest_member(self, target: int) -> int:
         candidates = [self.identifier] + [c.identifier for c in self._contacts.values()]

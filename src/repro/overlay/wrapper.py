@@ -8,14 +8,26 @@ query processor uses.  ``put``/``get``/``renew`` are two-phase: a multi-hop
 point-to-point exchange performs the operation (Figure 6).  ``send`` routes
 the object itself hop-by-hop toward the destination, invoking upcalls at
 every node along the path.
+
+Owner location cache.  Lookup responses carry the owner's identifier range,
+and ``put``/``put_batch``/``get``/``renew`` send straight to a cached owner
+whose range covers the target, skipping the multi-hop lookup (the location
+caching of Chord and of one-hop overlays).  Entries are hints: a message
+sent from the cache carries its ``target``, the receiver checks it is still
+responsible and otherwise forwards it once through a routed lookup, a
+failed delivery evicts the owner and re-issues the message through a
+routed lookup, and any change of the router's membership view empties the
+cache.  The public :meth:`OverlayNode.lookup` always routes.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.overlay.identifiers import IdentifierSpace
 from repro.overlay.naming import ObjectName
 from repro.overlay.object_manager import ObjectManager, StoredObject
 from repro.overlay.router import (
@@ -44,7 +56,13 @@ class DHTStats:
 
     lookups_issued: int = 0
     lookups_completed: int = 0
+    # Lookups that left this node; the hop mean excludes 0-hop local
+    # resolutions and cache hits, which would only dilute it.
+    lookups_routed: int = 0
     lookup_hops_total: int = 0
+    lookup_cache_hits: int = 0
+    lookup_cache_evictions: int = 0
+    owner_forwards: int = 0
     puts: int = 0
     batch_puts: int = 0
     batched_objects: int = 0
@@ -60,9 +78,9 @@ class DHTStats:
 
     @property
     def mean_lookup_hops(self) -> float:
-        if self.lookups_completed == 0:
+        if self.lookups_routed == 0:
             return 0.0
-        return self.lookup_hops_total / self.lookups_completed
+        return self.lookup_hops_total / self.lookups_routed
 
 
 @dataclass(slots=True)
@@ -77,6 +95,77 @@ class _PendingRequest:
 class _RouteAttempt:
     message: Dict[str, Any]
     excluded: Set[int] = field(default_factory=set)
+
+
+class _OwnerCache:
+    """Owner locations learned from lookup responses.
+
+    Entries map a claimed owner range ``(start, end]`` to the owner's
+    contact, kept sorted by ``end`` so a target resolves with one bisect.
+    The cache follows the router's membership view: the first use after
+    ``router.view_version`` moves empties it.
+    """
+
+    __slots__ = ("_router", "_version", "_ends", "_entries")
+
+    def __init__(self, router: Router) -> None:
+        self._router = router
+        self._version = router.view_version
+        self._ends: List[int] = []
+        self._entries: Dict[int, Tuple[int, NodeContact]] = {}
+
+    def _current(self) -> bool:
+        if self._version == self._router.view_version:
+            return True
+        self.clear()
+        return False
+
+    def owner(self, target: int) -> Optional[NodeContact]:
+        if not self._current() or not self._ends:
+            return None
+        index = bisect.bisect_left(self._ends, target)
+        end = self._ends[index if index < len(self._ends) else 0]
+        start, contact = self._entries[end]
+        if IdentifierSpace.in_interval(target, start, end):
+            return contact
+        return None
+
+    def learn(self, owned: Tuple[int, int], contact: NodeContact) -> None:
+        self._current()
+        start, end = owned
+        if end not in self._entries:
+            bisect.insort(self._ends, end)
+        self._entries[end] = (start, contact)
+
+    def evict(self, identifier: int) -> int:
+        """Drop every range owned by ``identifier``; returns how many."""
+        stale = [
+            end for end, (_, contact) in self._entries.items() if contact.identifier == identifier
+        ]
+        for end in stale:
+            del self._entries[end]
+            self._ends.remove(end)
+        return len(stale)
+
+    def clear(self) -> None:
+        self._version = self._router.view_version
+        self._ends = []
+        self._entries = {}
+
+
+class _CachedDelivery:
+    """Transport-ack adapter for a message sent to a cached owner."""
+
+    __slots__ = ("node", "owner", "payload")
+
+    def __init__(self, node: "OverlayNode", owner: NodeContact, payload: Dict[str, Any]) -> None:
+        self.node = node
+        self.owner = owner
+        self.payload = payload
+
+    def handle_udp_ack(self, _callback_data: Any, success: bool) -> None:
+        if not success:
+            self.node._cached_delivery_failed(self.owner, self.payload)
 
 
 class _LivenessProbe:
@@ -97,9 +186,7 @@ class _LivenessProbe:
             self.node.router.mark_alive(self.identifier)
         else:
             self.node.stats.ping_failures += 1
-            self.node.router.mark_dead(self.identifier)
-            if hasattr(self.node.router, "remove_contact"):
-                self.node.router.remove_contact(self.identifier)
+            self.node._suspect(self.identifier)
         self.callback(success)
 
 
@@ -131,6 +218,7 @@ class OverlayNode:
         self._pending: Dict[int, _PendingRequest] = {}
         self._new_data_handlers: Dict[str, List[NewDataCallback]] = {}
         self._upcall_handlers: Dict[str, List[UpcallHandler]] = {}
+        self._owner_cache = _OwnerCache(self.router)
         self._joined = False
         # Bumped on rejoin so a stabilization timer armed before a failure
         # cannot double-drive the loop after recovery.
@@ -177,6 +265,7 @@ class OverlayNode:
         """
         self.directory.register(self.contact)
         self.router.refresh(self.directory.members())
+        self._owner_cache.clear()
         self._joined = True
         self._stabilization_epoch += 1
         self._schedule_stabilization()
@@ -231,31 +320,28 @@ class OverlayNode:
         self.stats.gets += 1
         routing_id = ObjectName(namespace, key, "").routing_identifier()
 
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+        def deliver(owner: Optional[NodeContact]) -> Optional[Dict[str, Any]]:
             if owner is None:
                 callback_client(namespace, key, [])
-                return
+                return None
             if owner.identifier == self.identifier:
                 objects = [obj.value for obj in self.object_manager.get(namespace, key)]
                 callback_client(namespace, key, objects)
-                return
+                return None
             request_id = self._register_request(
                 lambda objects: callback_client(namespace, key, objects),
                 kind="get",
                 on_timeout=lambda: callback_client(namespace, key, []),
             )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "get_request",
-                    "namespace": namespace,
-                    "key": key,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
+            return {
+                "kind": "get_request",
+                "namespace": namespace,
+                "key": key,
+                "request_id": request_id,
+                "origin": self.address,
+            }
 
-        self._lookup(routing_id, after_lookup)
+        self._to_owner(routing_id, deliver)
 
     def put(
         self,
@@ -271,36 +357,33 @@ class OverlayNode:
         name = ObjectName(namespace, key, suffix)
         routing_id = name.routing_identifier()
 
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+        def deliver(owner: Optional[NodeContact]) -> Optional[Dict[str, Any]]:
             if owner is None:
                 if callback is not None:
                     callback(False)
-                return
+                return None
             if owner.identifier == self.identifier:
                 self._store_locally(name, value, lifetime)
                 if callback is not None:
                     callback(True)
-                return
+                return None
             request_id = None
             if callback is not None:
                 request_id = self._register_request(
                     callback, kind="put", on_timeout=lambda: callback(False)
                 )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "put",
-                    "namespace": namespace,
-                    "key": key,
-                    "suffix": suffix,
-                    "value": value,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
+            return {
+                "kind": "put",
+                "namespace": namespace,
+                "key": key,
+                "suffix": suffix,
+                "value": value,
+                "lifetime": lifetime,
+                "request_id": request_id,
+                "origin": self.address,
+            }
 
-        self._lookup(routing_id, after_lookup)
+        self._to_owner(routing_id, deliver)
         return name
 
     def put_batch(
@@ -328,17 +411,17 @@ class OverlayNode:
         self.stats.batched_objects += len(entries)
         routing_id = ObjectName(namespace, key, entries[0][0]).routing_identifier()
 
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+        def deliver(owner: Optional[NodeContact]) -> Optional[Dict[str, Any]]:
             if owner is None:
                 if callback is not None:
                     callback(False)
-                return
+                return None
             if owner.identifier == self.identifier:
                 for suffix, value in entries:
                     self._store_locally(ObjectName(namespace, key, suffix), value, lifetime)
                 if callback is not None:
                     callback(True)
-                return
+                return None
             request_id = None
             if callback is not None:
                 request_id = self._register_request(
@@ -348,20 +431,17 @@ class OverlayNode:
             # immutable wire objects whose sizes the simulator memoizes, so
             # the batch message costs one envelope walk plus the sum of the
             # elements' cached sizes.
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "put_batch",
-                    "namespace": namespace,
-                    "key": key,
-                    "entries": entries,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
+            return {
+                "kind": "put_batch",
+                "namespace": namespace,
+                "key": key,
+                "entries": entries,
+                "lifetime": lifetime,
+                "request_id": request_id,
+                "origin": self.address,
+            }
 
-        self._lookup(routing_id, after_lookup)
+        self._to_owner(routing_id, deliver)
 
     def renew(
         self,
@@ -380,19 +460,19 @@ class OverlayNode:
         name = ObjectName(namespace, key, suffix)
         routing_id = name.routing_identifier()
 
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+        def deliver(owner: Optional[NodeContact]) -> Optional[Dict[str, Any]]:
             if owner is None:
                 self.stats.renew_failures += 1
                 if callback is not None:
                     callback(False)
-                return
+                return None
             if owner.identifier == self.identifier:
                 success = self.object_manager.renew(name, lifetime)
                 if not success:
                     self.stats.renew_failures += 1
                 if callback is not None:
                     callback(success)
-                return
+                return None
 
             def on_result(success: bool) -> None:
                 if not success:
@@ -403,20 +483,17 @@ class OverlayNode:
             request_id = self._register_request(
                 on_result, kind="renew", on_timeout=lambda: on_result(False)
             )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "renew",
-                    "namespace": namespace,
-                    "key": key,
-                    "suffix": suffix,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
+            return {
+                "kind": "renew",
+                "namespace": namespace,
+                "key": key,
+                "suffix": suffix,
+                "lifetime": lifetime,
+                "request_id": request_id,
+                "origin": self.address,
+            }
 
-        self._lookup(routing_id, after_lookup)
+        self._to_owner(routing_id, deliver)
 
     def send(
         self,
@@ -478,11 +555,71 @@ class OverlayNode:
     # Lookup / routing                                                    #
     # ------------------------------------------------------------------ #
     def lookup(self, identifier: int, callback: LookupCallback) -> None:
-        """Public lookup: resolve which node owns ``identifier``."""
+        """Public lookup: resolve which node owns ``identifier``.
+
+        Never answered from the owner cache: callers such as the resilient
+        aggregation-root monitor poll it to notice ownership changes.
+        """
         self._lookup(identifier, callback)
 
-    def _lookup(self, identifier: int, callback: LookupCallback) -> None:
-        self.stats.lookups_issued += 1
+    def _to_owner(
+        self,
+        target: int,
+        deliver: Callable[[Optional[NodeContact]], Optional[Dict[str, Any]]],
+    ) -> None:
+        """Resolve the owner of ``target`` and send it ``deliver(owner)``.
+
+        ``deliver`` handles the unresolved (``None``) and local-owner cases
+        itself and returns ``None``; for a remote owner it returns the
+        message to send.  A cached owner is used when its range covers
+        ``target``; otherwise a routed lookup resolves it.
+        """
+
+        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+            payload = deliver(owner)
+            if payload is not None:
+                self._send_direct(owner.address, payload)
+
+        def from_cache(owner: NodeContact) -> None:
+            payload = deliver(owner)
+            # The target lets the receiver verify it still owns it.
+            payload["target"] = target
+            self._send_direct(owner.address, payload, _CachedDelivery(self, owner, payload))
+
+        self._lookup(target, after_lookup, from_cache)
+
+    def _cached_delivery_failed(self, owner: NodeContact, payload: Dict[str, Any]) -> None:
+        """A cached owner did not acknowledge: evict it, suspect it, and
+        re-issue the message through a routed lookup."""
+        self.stats.lookup_cache_evictions += self._owner_cache.evict(owner.identifier)
+        self._suspect(owner.identifier)
+        self._forward_routed(payload)
+
+    def _forward_routed(self, payload: Dict[str, Any]) -> None:
+        """Send a cache-resolved message to the owner a routed lookup finds.
+
+        The copy drops ``target``, so its receiver stores it without a
+        second ownership check: a message is forwarded at most once.  The
+        origin's ``request_id`` rides along, so the ack still reaches it;
+        if no owner resolves, the origin's request times out.
+        """
+        routed = {key: value for key, value in payload.items() if key != "target"}
+
+        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
+            if owner is not None:
+                self._send_direct(owner.address, routed)
+
+        self._lookup(payload["target"], after_lookup)
+
+    def _lookup(
+        self,
+        identifier: int,
+        callback: LookupCallback,
+        from_cache: Optional[Callable[[NodeContact], None]] = None,
+    ) -> None:
+        """Resolve the owner of ``identifier``: locally, else (when
+        ``from_cache`` is given) from a cached range, else by a routed
+        lookup.  A cache hit goes to ``from_cache`` and is not a lookup."""
         # Causal tracing: when the caller runs inside a trace scope (e.g.
         # query dissemination), the lookup is recorded as a span and the
         # routed message carries the trace id so every hop can attribute
@@ -490,6 +627,7 @@ class OverlayNode:
         tracer = getattr(self.runtime, "tracer", None)
         scope = tracer.current() if tracer is not None else None
         if self.router.is_responsible(identifier):
+            self.stats.lookups_issued += 1
             self.stats.lookups_completed += 1
             if scope is not None:
                 tracer.event(
@@ -498,7 +636,19 @@ class OverlayNode:
                 )
             callback(self.contact, 0)
             return
+        if from_cache is not None:
+            owner = self._owner_cache.owner(identifier)
+            if owner is not None:
+                self.stats.lookup_cache_hits += 1
+                if scope is not None:
+                    tracer.event(
+                        "dht.lookup", scope[0], parent_id=scope[1],
+                        node=self.address, hops=0, cached=True,
+                    )
+                from_cache(owner)
+                return
 
+        self.stats.lookups_issued += 1
         span = (
             tracer.begin("dht.lookup", scope[0], parent_id=scope[1], node=self.address)
             if scope is not None
@@ -508,6 +658,7 @@ class OverlayNode:
         def complete(result: Tuple[Optional[NodeContact], int]) -> None:
             owner, hops = result
             self.stats.lookups_completed += 1
+            self.stats.lookups_routed += 1
             self.stats.lookup_hops_total += hops
             if span is not None:
                 tracer.end(span, hops=hops)
@@ -574,11 +725,15 @@ class OverlayNode:
         attempt, failed_hop = callback_data
         # The neighbor is unreachable: remember that, drop it from the
         # routing tables, and retry the message around it.
-        self.router.mark_dead(failed_hop.identifier)
-        if hasattr(self.router, "remove_contact"):
-            self.router.remove_contact(failed_hop.identifier)
+        self._suspect(failed_hop.identifier)
         attempt.excluded.add(failed_hop.identifier)
         self._route(attempt.message, excluded=attempt.excluded)
+
+    def _suspect(self, identifier: int) -> None:
+        """Mark an unreachable peer dead and drop it from the routing tables."""
+        self.router.mark_dead(identifier)
+        if hasattr(self.router, "remove_contact"):
+            self.router.remove_contact(identifier)
 
     # ------------------------------------------------------------------ #
     # Message handling                                                    #
@@ -600,10 +755,19 @@ class OverlayNode:
             else:
                 self._route(payload)
         elif kind == "lookup_response":
-            self._complete_request(
-                payload["request_id"],
-                (NodeContact(payload["owner_id"], payload["owner_address"]), payload["hops"]),
-            )
+            owner = NodeContact(payload["owner_id"], payload["owner_address"])
+            owned = payload.get("range")
+            if owned is not None and owner.identifier != self.identifier:
+                self._owner_cache.learn(owned, owner)
+            self._complete_request(payload["request_id"], (owner, payload["hops"]))
+        elif kind == "send":
+            payload["hops"] = payload.get("hops", 0) + 1  # pierlint: disable=P02
+            self._handle_send(payload, arrived_over_network=True)
+        elif "target" in payload and self._misdirected(payload):
+            # Past the routed kinds above, only a message sent to a cached
+            # owner carries a target; one that reached a node no longer
+            # responsible has been forwarded and is not handled here.
+            return
         elif kind == "put":
             name = ObjectName(payload["namespace"], payload["key"], payload["suffix"])
             self._store_locally(name, payload["value"], payload["lifetime"])
@@ -627,9 +791,6 @@ class OverlayNode:
             # Application-level point-to-point message (used by distribution
             # trees and hierarchical operators); treated like arriving data.
             self._notify_new_data(payload["namespace"], payload["key"], payload["value"])
-        elif kind == "send":
-            payload["hops"] = payload.get("hops", 0) + 1  # pierlint: disable=P02
-            self._handle_send(payload, arrived_over_network=True)
         elif kind == "get_request":
             objects = [
                 stored.value
@@ -662,6 +823,14 @@ class OverlayNode:
             self.router.mark_alive(payload["identifier"])
             self.router.refresh(self.directory.members())
 
+    def _misdirected(self, payload: Dict[str, Any]) -> bool:
+        """Forward a cache-resolved message unless this node owns its target."""
+        if self.router.is_responsible(payload["target"]):
+            return False
+        self.stats.owner_forwards += 1
+        self._forward_routed(payload)
+        return True
+
     def _handle_send(self, message: Dict[str, Any], arrived_over_network: bool) -> None:
         namespace = message["namespace"]
         # Upcalls fire at every node the message *arrives at* along the path
@@ -681,16 +850,17 @@ class OverlayNode:
     def _deliver_routed(self, message: Dict[str, Any]) -> None:
         kind = message["kind"]
         if kind == "lookup":
-            self._send_direct(
-                message["origin"],
-                {
-                    "kind": "lookup_response",
-                    "request_id": message["request_id"],
-                    "owner_id": self.identifier,
-                    "owner_address": self.address,
-                    "hops": message.get("hops", 0),
-                },
-            )
+            response = {
+                "kind": "lookup_response",
+                "request_id": message["request_id"],
+                "owner_id": self.identifier,
+                "owner_address": self.address,
+                "hops": message.get("hops", 0),
+            }
+            owned = self.router.owned_range()
+            if owned is not None:
+                response["range"] = owned
+            self._send_direct(message["origin"], response)
         elif kind == "send":
             self._handle_send(message, arrived_over_network=False)
 
@@ -704,7 +874,12 @@ class OverlayNode:
             {"kind": "direct", "namespace": namespace, "key": key, "value": value},
         )
 
-    def _send_direct(self, destination_address: Any, payload: Dict[str, Any]) -> None:
+    def _send_direct(
+        self,
+        destination_address: Any,
+        payload: Dict[str, Any],
+        callback_client: Any = None,
+    ) -> None:
         tracer = getattr(self.runtime, "tracer", None)
         if tracer is not None:
             scope = tracer.current()
@@ -713,7 +888,9 @@ class OverlayNode:
         if destination_address == self.address:
             self.handle_udp((self.address, self.port), payload)
             return
-        self.runtime.send(self.port, (destination_address, self.port), payload)
+        self.runtime.send(
+            self.port, (destination_address, self.port), payload, callback_client=callback_client
+        )
 
     def _store_locally(self, name: ObjectName, value: object, lifetime: float) -> StoredObject:
         stored = self.object_manager.put(name, value, lifetime)

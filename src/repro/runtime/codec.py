@@ -98,6 +98,9 @@ WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     "udpcc", "udpcc_id", "data",
     # causal tracing (repro/obs): the trace context rides in envelopes
     "trace", "trace_id", "span",
+    # owner location cache (overlay/wrapper.py): the owned range a lookup
+    # response carries.  Append only: indices are the wire format.
+    "range",
 )
 
 _WELLKNOWN_INDEX: Dict[str, int] = {

@@ -102,17 +102,25 @@ EXPECTED_TOPOLOGY = {
 
 
 def _traced_span_names(mode: str):
-    # 12 distinct partition keys: the rows (and the rehashed partials)
-    # spread across the ring, so some puts are owner-remote and the trace
-    # deterministically exercises routed hops in both modes — with only a
-    # couple of keys, whether anything routes is placement luck.
+    # 12 distinct group keys: the rehashed partials spread across the ring,
+    # so some puts are owner-remote and the trace exercises routed hops in
+    # both modes — with only a couple of keys, whether anything routes is
+    # placement luck.  The rows are node-local rather than published into
+    # the DHT: a publish would warm the nodes' owner caches, and how many
+    # of the query's owners then resolve without routing depends on
+    # placement.  With local rows every owner the query resolves is cold.
     network = PIERNetwork(5, seed=7, mode=mode)
     try:
         network.enable_tracing()
-        network.create_table("events", partitioning=["source"])
-        network.publish(
+        network.distribute_local_table(
             "events",
-            [Tuple.make("events", source=f"10.0.0.{i % 12}", event_id=i) for i in range(24)],
+            [
+                [
+                    Tuple.make("events", source=f"10.0.0.{i % 12}", event_id=i)
+                    for i in range(address, 24, 5)
+                ]
+                for address in range(5)
+            ],
         )
         network.run(0.5)
         result = network.query(PARITY_QUERY, include_explain=False)
