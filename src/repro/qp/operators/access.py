@@ -20,20 +20,14 @@ from repro.qp.opgraph import OperatorSpec
 from repro.qp.tuples import MalformedTupleError, Tuple
 
 
-def _coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
+def coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
     """Convert a stored object into a tuple, best-effort.
 
-    Interned wire tuples pass through zero-copy; the legacy
-    ``{"table", "values"}`` dict form is rebuilt; a bare mapping becomes a
+    Interned wire tuples pass through zero-copy; a bare mapping becomes a
     tuple of ``table``."""
     if isinstance(value, Tuple):
         return value
     if isinstance(value, dict):
-        if "table" in value and "values" in value:
-            try:
-                return Tuple.from_wire(value)
-            except MalformedTupleError:
-                return None
         return Tuple(table, value)
     return None
 
@@ -69,7 +63,7 @@ class DHTScanAccess(PhysicalOperator):
         self._inject(value, DEFAULT_PROBE_TAG)
 
     def _inject(self, value: object, tag: str) -> None:
-        tup = _coerce_tuple(self.table, value)
+        tup = coerce_tuple(self.table, value)
         if tup is None:
             self.stats.tuples_dropped += 1
             return
@@ -100,7 +94,7 @@ class DHTGetAccess(PhysicalOperator):
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         def on_get(_namespace: str, _key: object, objects: List[object]) -> None:
             for value in objects:
-                tup = _coerce_tuple(self.table, value)
+                tup = coerce_tuple(self.table, value)
                 if tup is None:
                     self.stats.tuples_dropped += 1
                     continue
@@ -159,7 +153,7 @@ class LocalTableAccess(PhysicalOperator):
 
     def _emit_rows(self, rows: Iterable[Tuple], tag: str) -> None:
         for tup in list(rows):
-            coerced = tup if isinstance(tup, Tuple) else _coerce_tuple(self.table, tup)
+            coerced = tup if isinstance(tup, Tuple) else coerce_tuple(self.table, tup)
             if coerced is None:
                 self.stats.tuples_dropped += 1
                 continue
@@ -202,7 +196,7 @@ class StreamAccess(PhysicalOperator):
         producer = self.context.extras.get("streams", {}).get(self.stream_name)
         if producer is not None:
             for item in producer(self.context.now):
-                tup = item if isinstance(item, Tuple) else _coerce_tuple(self.stream_name, item)
+                tup = item if isinstance(item, Tuple) else coerce_tuple(self.stream_name, item)
                 if tup is None:
                     self.stats.tuples_dropped += 1
                     continue

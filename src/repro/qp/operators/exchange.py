@@ -16,7 +16,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple as PyTuple
 from repro.overlay.naming import random_suffix
 from repro.qp.operators.base import DEFAULT_PROBE_TAG, PhysicalOperator, register_operator
 from repro.qp.tuples import Tuple
-from repro.runtime.sizing import estimate_message_size
+from repro.runtime.simulation import estimate_message_size
 
 RESULT_NAMESPACE = "__results__"
 
@@ -111,8 +111,8 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         self.tuples_published = 0
         self.batches_published = 0
         # EXPLAIN ANALYZE actuals: network messages this operator caused
-        # (always counted — one int add) and their estimated wire bytes
-        # (only measured for traced queries; sizing costs real work).
+        # (always counted — one int add) and their datagram bytes (only
+        # measured for traced queries; sizing costs real work).
         self.messages_shipped = 0
         self.bytes_shipped = 0
         self._buffers: Dict[Any, List[Any]] = {}

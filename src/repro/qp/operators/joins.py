@@ -14,6 +14,7 @@ import hashlib
 from collections import defaultdict
 from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple as PyTuple
 
+from repro.qp.operators.access import coerce_tuple
 from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.tuples import MalformedTupleError, Tuple
 
@@ -92,25 +93,13 @@ class FetchMatchesJoin(PhysicalOperator):
         def on_fetch(_namespace: str, _key: object, objects: List[object]) -> None:
             self.fetches_completed += 1
             for value in objects:
-                inner = self._coerce(value)
+                inner = coerce_tuple(self.inner_table, value)
                 if inner is None:
                     self.stats.tuples_dropped += 1
                     continue
                 self.emit(tup.join(inner, table=self.param("output_table")), tag)
 
         self.context.overlay.get(self.inner_namespace, lookup_key, on_fetch)
-
-    def _coerce(self, value: object) -> Optional[Tuple]:
-        if isinstance(value, Tuple):
-            return value
-        if isinstance(value, dict):
-            if "table" in value and "values" in value:
-                try:
-                    return Tuple.from_wire(value)
-                except MalformedTupleError:
-                    return None
-            return Tuple(self.inner_table, value)
-        return None
 
 
 @register_operator

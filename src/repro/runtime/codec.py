@@ -1,9 +1,12 @@
 """Binary wire codec for the physical runtime (paper Section 3.1).
 
 The simulator passes payload objects between virtual nodes by reference,
-so it never serialises anything.  The physical runtime cannot: every
+so it never serialises anything; it charges each message the length
+:func:`encoded_size` computes, which is exactly what this module would
+put on the wire.  The physical runtime cannot pass references: every
 message crosses a real socket.  This module is the single place where
-PIER payloads become bytes and back.
+PIER payloads become bytes and back, and the single definition of how
+many bytes that is.
 
 The encoding is a tagged, struct-packed format designed around the
 interned-schema tuples from the hot-path overhaul:
@@ -221,6 +224,110 @@ def _encode_str(value: str, parts: List[bytes]) -> None:
     else:
         parts.append(_U8.pack(TAG_STR) + _U32.pack(len(raw)))
     parts.append(raw)
+
+
+def encoded_size(value: Any) -> int:
+    """Exactly ``len(encode(value))``, computed without building the bytes.
+
+    This is the one definition of message size: the simulator charges it
+    (plus the datagram envelope) for every send.  Dicts and lists of
+    scalars and ASCII strings — the overwhelmingly common shapes — are
+    sized by inline loops; wire tuples answer from their memoized length;
+    unknown objects are charged their pickle frame, as on the wire.
+    """
+    kind = value.__class__
+    if kind is dict:
+        total = 5
+        for key, item in value.items():
+            if key.__class__ is str:
+                if key in _WELLKNOWN_INDEX:
+                    total += 2
+                elif key.isascii():
+                    total += len(key) + (2 if len(key) < 256 else 5)
+                else:
+                    total += _str_size(key)
+            else:
+                total += encoded_size(key)
+            item_kind = item.__class__
+            if item_kind is str:
+                if item in _WELLKNOWN_INDEX:
+                    total += 2
+                elif item.isascii():
+                    total += len(item) + (2 if len(item) < 256 else 5)
+                else:
+                    total += _str_size(item)
+            elif item_kind is int:
+                total += 2 if -128 <= item <= 127 else _int_size(item)
+            elif item is None or item_kind is bool:
+                total += 1
+            elif item_kind is float:
+                total += 9
+            elif item_kind is Tuple:
+                total += item.wire_size()
+            elif item_kind is list:
+                total += 5 + _items_size(item)
+            else:
+                total += encoded_size(item)
+        return total
+    if kind is list or kind is tuple or kind is set or kind is frozenset:
+        return 5 + _items_size(value)
+    if kind is str:
+        return 2 if value in _WELLKNOWN_INDEX else _str_size(value)
+    if kind is int:
+        return _int_size(value)
+    if value is None or kind is bool:
+        return 1
+    if kind is float:
+        return 9
+    if kind is bytes:
+        return 5 + len(value)
+    if isinstance(value, Tuple):
+        return value.wire_size()
+    return len(encode(value))
+
+
+def _items_size(items: Any) -> int:
+    """Summed encoded size of a container's elements, without its header
+    (a wire tuple's values are sized through this too)."""
+    total = 0
+    for item in items:
+        item_kind = item.__class__
+        if item_kind is str:
+            if item in _WELLKNOWN_INDEX:
+                total += 2
+            elif item.isascii():
+                total += len(item) + (2 if len(item) < 256 else 5)
+            else:
+                total += _str_size(item)
+        elif item_kind is int:
+            total += 2 if -128 <= item <= 127 else _int_size(item)
+        elif item is None or item_kind is bool:
+            total += 1
+        elif item_kind is float:
+            total += 9
+        elif item_kind is Tuple:
+            total += item.wire_size()
+        elif item_kind is list:
+            total += 5 + _items_size(item)
+        else:
+            total += encoded_size(item)
+    return total
+
+
+def _int_size(value: int) -> int:
+    if -128 <= value <= 127:
+        return 2
+    if -(2 ** 31) <= value < 2 ** 31:
+        return 5
+    if -(2 ** 63) <= value < 2 ** 63:
+        return 9
+    return 5 + (value.bit_length() + 8) // 8
+
+
+def _str_size(value: str) -> int:
+    """Size of a string that is not well-known."""
+    length = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return length + (2 if length < 256 else 5)
 
 
 def _encode_fallback(value: Any, parts: List[bytes]) -> None:

@@ -35,23 +35,11 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple as PyTuple
+from typing import Any, Callable, Deque, List, Optional
+
+from repro.qp.tuples import Schema, Tuple
 
 __all__ = ["SanitizerError", "SimSanitizer", "payload_fingerprint", "verify_determinism"]
-
-# repro.qp.tuples imports repro.runtime.sizing, so importing it eagerly
-# here would close an import cycle through repro.runtime.simulation.  The
-# fingerprint walk resolves the classes on first use instead.
-_TUPLE_CLASSES: Optional[PyTuple[type, type]] = None
-
-
-def _tuple_classes() -> PyTuple[type, type]:
-    global _TUPLE_CLASSES
-    if _TUPLE_CLASSES is None:
-        from repro.qp.tuples import Schema, Tuple
-
-        _TUPLE_CLASSES = (Tuple, Schema)
-    return _TUPLE_CLASSES
 
 
 class SanitizerError(RuntimeError):
@@ -99,7 +87,7 @@ def _fold(digest: "hashlib._Hash", value: Any, depth: int) -> None:
         digest.update(b"\x04%d:" % len(raw) + raw)
     elif isinstance(value, (bytes, bytearray)):
         digest.update(b"\x05%d:" % len(value) + bytes(value))
-    elif isinstance(value, _tuple_classes()[0]):
+    elif isinstance(value, Tuple):
         # Fold the schema identity and the value vector; the memoised
         # wire-size/hash caches are deliberately excluded (they are lazily
         # populated and not part of the payload's meaning).
@@ -108,7 +96,7 @@ def _fold(digest: "hashlib._Hash", value: Any, depth: int) -> None:
         _fold(digest, list(value.schema.columns), depth + 1)
         for item in value.values():
             _fold(digest, item, depth + 1)
-    elif isinstance(value, _tuple_classes()[1]):
+    elif isinstance(value, Schema):
         digest.update(b"\x09S")
         _fold(digest, value.table, depth + 1)
         _fold(digest, list(value.columns), depth + 1)
@@ -177,7 +165,7 @@ def _public_fields(value: Any) -> Optional[dict]:
 
 
 def _summarize(payload: Any, limit: int = 160) -> str:
-    if isinstance(payload, _tuple_classes()[0]):
+    if isinstance(payload, Tuple):
         text = f"Tuple({payload.schema.table!r}, {dict(zip(payload.schema.columns, payload.values()))!r})"
     elif isinstance(payload, dict):
         kind = payload.get("type") or payload.get("namespace")

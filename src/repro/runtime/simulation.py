@@ -19,17 +19,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.runtime import codec
 from repro.runtime.congestion import CongestionModel, NetworkStats, NoCongestionModel
 from repro.runtime.endpoint import NetworkEndpoint
 from repro.runtime.events import Event, NetworkEvent
 from repro.runtime.rand import derive_rng
 from repro.runtime.sanitizer import SimSanitizer
 from repro.runtime.scheduler import MainScheduler
-
-# Sizing rules live in repro.runtime.sizing; re-exported here because the
-# simulator is where every send is priced (and callers import it from here).
-from repro.runtime.sizing import deep_size as _deep_size  # noqa: F401
-from repro.runtime.sizing import estimate_message_size  # noqa: F401
 from repro.runtime.topology import StarTopology, Topology
 from repro.runtime.vri import (
     PortRegistry,
@@ -38,6 +34,16 @@ from repro.runtime.vri import (
     UDPListener,
     VirtualRuntime,
 )
+
+
+def estimate_message_size(payload: Any) -> int:
+    """Size, in bytes, of the datagram that carries ``payload``.
+
+    This is the physical datagram length — the codec's envelope header
+    plus the payload's exact encoded length — so simulated and physical
+    byte counts agree message for message.
+    """
+    return codec.ENVELOPE_BYTES + codec.encoded_size(payload)
 
 
 @dataclass(slots=True)
@@ -178,8 +184,6 @@ class SimulationEnvironment(NetworkEndpoint):
     :class:`repro.runtime.physical.PhysicalEnvironment`); deployment code
     selects between them with ``PIERNetwork(mode=...)``.
     """
-
-    UDP_ACK_OVERHEAD_BYTES = 60
 
     def __init__(
         self,
@@ -360,14 +364,15 @@ class SimulationEnvironment(NetworkEndpoint):
         source_runtime = self._runtimes.get(source)
         if source_runtime is None or not source_runtime.alive:
             return
-        self.stats.bytes_sent += self.UDP_ACK_OVERHEAD_BYTES
+        # An ack is a header-only frame, as on the physical wire.
+        self.stats.bytes_sent += codec.ENVELOPE_BYTES
         # Per-node accounting parity: a delivered message's ack is traffic
         # the *receiver* sends, so charge it to that node too.  Failure-path
         # acks are synthesized by the environment (no node transmitted
         # anything), so only the global counter moves there — under drops,
         # sum(bytes_sent_by_node) is less than stats.bytes_sent by design.
         if success and acker is not None:
-            self.bytes_sent_by_node[acker] += self.UDP_ACK_OVERHEAD_BYTES
+            self.bytes_sent_by_node[acker] += codec.ENVELOPE_BYTES
         # The ack travels back over the network, so charge one RTT-ish delay.
         self.scheduler.schedule_callback(
             0.0, self._notify_ack, (ack, success), node_id=source

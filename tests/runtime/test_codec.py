@@ -3,16 +3,18 @@
 Round-trips every tag the format defines — scalars, containers,
 schema-packed wire tuples, well-known strings, and the counted pickle
 fallback — plus the datagram envelope the physical runtime frames
-messages in, and the error paths for junk bytes.
+messages in, and the error paths for junk bytes.  A property test pins
+``encoded_size`` (the length the simulator charges) to the real encoding.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.qp.tuples import Schema, Tuple
 from repro.runtime import codec
-from repro.runtime.sizing import wire_size
 
 
 @pytest.fixture(autouse=True)
@@ -165,15 +167,6 @@ def test_tuples_nested_in_envelopes_roundtrip():
     assert codec.FALLBACKS.total() == 0
 
 
-def test_legacy_dict_tuple_form_roundtrips_without_fallback():
-    row = Tuple.make("legacy", k=1, v="x")
-    legacy = row.to_dict()  # {"table": ..., "values": {...}}
-    decoded = roundtrip(legacy)
-    assert decoded == legacy
-    assert Tuple.from_dict(decoded) == row
-    assert codec.FALLBACKS.total() == 0
-
-
 # -- pickle fallback ------------------------------------------------------------ #
 
 class SlottedPayload:
@@ -229,7 +222,58 @@ def test_ack_datagram_is_header_only():
 def test_wire_size_matches_actual_encoding():
     payload = {"kind": "lookup", "key": 123456, "entries": [Tuple.make("t", k=1)]}
     wire = codec.pack_datagram(codec.KIND_DATA, 1, 0, 0, payload)
-    assert wire_size(payload) == len(wire)
+    assert codec.ENVELOPE_BYTES + codec.encoded_size(payload) == len(wire)
+
+
+# -- encoded_size ------------------------------------------------------------------ #
+
+_INT_BOUNDARIES = [
+    0, 127, 128, -128, -129,
+    2**31 - 1, 2**31, -(2**31), -(2**31) - 1,
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+    2**64, -(2**200), 2**200,
+]
+
+_ints = st.one_of(
+    st.sampled_from(_INT_BOUNDARIES),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_strings = st.one_of(
+    st.text(alphabet="abcxyz019 ", max_size=12),
+    st.text(max_size=12),  # arbitrary code points, mostly non-ASCII
+    st.text(alphabet="ab", min_size=250, max_size=300),  # long form at 256 bytes
+    st.text(alphabet="é✓", min_size=80, max_size=140),  # <256 chars, ~256 bytes
+    st.sampled_from(codec.WELLKNOWN_STRINGS),
+)
+_hashable = st.one_of(
+    st.none(), st.booleans(), _ints, st.floats(), _strings, st.binary(max_size=20),
+)
+_scalars = st.one_of(_hashable, st.binary(min_size=250, max_size=300))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_hashable, children, max_size=5),
+        st.sets(_hashable, max_size=5),
+        st.frozensets(_hashable, max_size=5),
+        st.builds(
+            Tuple,
+            st.sampled_from(["t", "events", "naïve"]),
+            st.dictionaries(st.text(min_size=1, max_size=6), children, max_size=5),
+        ),
+    )
+
+
+_values = st.recursive(_scalars, _containers, max_leaves=25)
+
+
+@given(_values)
+@settings(max_examples=300, deadline=None)
+def test_encoded_size_equals_encoded_length(value):
+    assert codec.encoded_size(value) == len(codec.encode(value))
+    assert codec.FALLBACKS.total() == 0
 
 
 # -- error paths ------------------------------------------------------------------ #

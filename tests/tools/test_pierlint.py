@@ -75,6 +75,7 @@ def test_inline_and_file_suppressions():
 def test_scopes_follow_module_roles():
     assert "P01" in rules_for("qp/operators/joins.py")
     assert "P01" not in rules_for("qp/tuples.py")
+    assert "P04" in rules_for("qp/tuples.py")
     assert "P02" in rules_for("overlay/wrapper.py")
     assert "P02" not in rules_for("workloads/firewall.py")
     assert "P03" not in rules_for("runtime/rand.py")
